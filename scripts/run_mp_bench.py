@@ -96,7 +96,7 @@ def main() -> int:
 
     # Cost-model expectation at multicore worker counts: what the same
     # instance predicts on hosts this benchmark machine may not be (the
-    # parallel-efficiency-aware rtime of docs/tuning.md), plus the
+    # dependency-chain-bounded rtime of docs/tuning.md), plus the
     # larger/coarser instances the backend is actually tuned towards.
     from repro.core.params import InputParams
 
@@ -164,8 +164,9 @@ def main() -> int:
         },
         "predicted": {
             "note": "analytic cost-model rtime (vectorized_time vs "
-            "mp_parallel_time with the parallel-efficiency term) for "
-            "multicore worker counts, independent of this host's cores",
+            "mp_parallel_time, bounded by the tile-diagonal dependency "
+            "chain) for multicore worker counts, independent of this "
+            "host's cores",
             "vectorized_rtime_s": vec_rtime,
             **predicted,
             "larger_instances": scaling,

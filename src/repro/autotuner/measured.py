@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.core.exceptions import SearchError
+from repro.core.exceptions import SearchError, UnknownExecutorError
 from repro.core.params import InputParams, TunableParams
 from repro.apps.registry import available_applications, get_application
 from repro.autotuner.exhaustive import SearchRecord, SearchResults
@@ -72,7 +72,6 @@ PROFILED_BACKENDS = (
     "vectorized",
     "cpu-parallel",
     "mp-parallel",
-    "pipelined",
     "compiled",
     "hybrid-vectorized",
     "hybrid-mp",
@@ -123,10 +122,21 @@ class MeasuredRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasuredRecord":
-        """Rebuild a record serialised by :meth:`to_dict`."""
+        """Rebuild a record serialised by :meth:`to_dict`.
+
+        A backend outside :data:`PROFILED_BACKENDS` (e.g. a retired strategy
+        name in an old profile) raises the typed
+        :class:`~repro.core.exceptions.UnknownExecutorError`.
+        """
+        backend = str(data["backend"])
+        if backend not in PROFILED_BACKENDS:
+            raise UnknownExecutorError(
+                f"profile record names unknown backend {backend!r}; known: "
+                f"{', '.join(PROFILED_BACKENDS)}"
+            )
         return cls(
             app=str(data["app"]),
-            backend=str(data["backend"]),
+            backend=backend,
             workers=int(data["workers"]),
             params=InputParams(
                 dim=int(data["dim"]), tsize=float(data["tsize"]), dsize=int(data["dsize"])
@@ -414,7 +424,7 @@ def _backend_executor(name: str, system: SystemSpec, workers: int):
         return get_executor("hybrid", system, cpu_engine="vectorized")
     if name == "hybrid-mp":
         return get_executor("hybrid", system, cpu_engine="mp", workers=workers)
-    if name in ("mp-parallel", "pipelined"):
+    if name == "mp-parallel":
         return get_executor(name, system, workers=workers)
     return get_executor(name, system)
 
@@ -433,7 +443,7 @@ def _backend_configs(
         return [(TunableParams(cpu_tile=1), 1)]
     if name == "hybrid-vectorized":
         return [(TunableParams(cpu_tile=tiles[0]), 1)]
-    if name in ("mp-parallel", "pipelined", "hybrid-mp"):
+    if name in ("mp-parallel", "hybrid-mp"):
         return [
             (TunableParams(cpu_tile=t), w)
             for t in tiles

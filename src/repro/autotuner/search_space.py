@@ -12,8 +12,8 @@ the shared-memory multicore backend (``mp-parallel``).  None of these
 interact with band / halo, so instead of multiplying the swept grid they
 are decided per instance by direct cost-model comparison
 (:meth:`SearchSpace.best_engine`, :meth:`SearchSpace.best_cpu_backend`,
-:meth:`SearchSpace.best_workers` — the latter two through the cost model's
-parallel-efficiency term).
+:meth:`SearchSpace.best_workers` — the latter two through one multicore
+model, :meth:`repro.hardware.costmodel.CostModel.mp_parallel_time`).
 """
 
 from __future__ import annotations
@@ -78,18 +78,18 @@ class SearchSpace:
     def cpu_backends(self) -> tuple[str, ...]:
         """CPU backend dimension: serial engines, multicore pools, compiled tier.
 
-        ``mp-parallel`` and its barrier-free sibling ``pipelined`` share the
-        vectorized engine's NumPy gate (their tile sweeps are the same
-        batched evaluation), so they are offered exactly when ``vectorized``
-        is.  The ``compiled`` tier enters the dimension only when its
-        availability probe passes (Numba importable) — resolved through the
-        registry's capability index, so the tuner never hard-codes the gate.
+        ``mp-parallel`` shares the vectorized engine's NumPy gate (its tile
+        sweeps are the same batched evaluation), so it is offered exactly
+        when ``vectorized`` is.  The ``compiled`` tier enters the dimension
+        only when its availability probe passes (Numba importable) —
+        resolved through the registry's capability index, so the tuner
+        never hard-codes the gate.
         """
         from repro.runtime.registry import engines_with
 
         engines = self.engines
         if "vectorized" in engines:
-            engines = engines + ("mp-parallel", "pipelined")
+            engines = engines + ("mp-parallel",)
         return engines + tuple(engines_with("compiled"))
 
     def mp_tile_candidates(self, instance: InputParams) -> tuple[int, ...]:
@@ -114,17 +114,6 @@ class SearchSpace:
         tiles = (cpu_tile,) if cpu_tile is not None else self.mp_tile_candidates(instance)
         return min(model.mp_parallel_time(instance, tile, workers) for tile in tiles)
 
-    def _pipelined_time(
-        self,
-        model: CostModel,
-        instance: InputParams,
-        cpu_tile: int | None,
-        workers: int,
-    ) -> float:
-        """Pipelined-dispatch runtime at ``workers`` (tile fixed or co-optimised)."""
-        tiles = (cpu_tile,) if cpu_tile is not None else self.mp_tile_candidates(instance)
-        return min(model.pipelined_time(instance, tile, workers) for tile in tiles)
-
     def best_workers(
         self,
         instance: InputParams,
@@ -133,8 +122,9 @@ class SearchSpace:
     ) -> int:
         """Worker count minimising the multicore backend's predicted runtime.
 
-        Resolved through :meth:`repro.hardware.costmodel.CostModel.mp_parallel_time`,
-        whose parallel-efficiency term penalises worker counts the tile
+        Resolved through :meth:`repro.hardware.costmodel.CostModel.mp_parallel_time`
+        — the same model :meth:`best_cpu_backend` picks with — whose
+        tile-diagonal chain bound stops rewarding worker counts the tile
         wavefront cannot keep busy.  With ``cpu_tile=None`` (the default)
         the tile side is co-optimised over :meth:`mp_tile_candidates` —
         the backend deploys with its own coarse tile, not the cache tile
@@ -155,10 +145,9 @@ class SearchSpace:
         """Cheapest CPU backend for ``instance`` and its worker count.
 
         Returns ``(backend, workers)``; ``workers`` is 1 for the single-core
-        engines (and the compiled tier) and :meth:`best_workers` for the
-        multicore backends (``mp-parallel`` and ``pipelined``).  As in
-        :meth:`best_workers`, ``cpu_tile=None`` co-optimises the multicore
-        backend's tile side.
+        engines (and the compiled tier) and :meth:`best_workers` for
+        ``mp-parallel``.  As in :meth:`best_workers`, ``cpu_tile=None``
+        co-optimises the multicore backend's tile side.
         """
         model = cost_model if cost_model is not None else CostModel(self.system)
         workers = self.best_workers(instance, cpu_tile, model)
@@ -166,12 +155,10 @@ class SearchSpace:
         def runtime(backend: str) -> float:
             if backend == "mp-parallel":
                 return self._mp_time(model, instance, cpu_tile, workers)
-            if backend == "pipelined":
-                return self._pipelined_time(model, instance, cpu_tile, workers)
             return model.engine_time(backend, instance)
 
         best = min(self.cpu_backends, key=runtime)
-        return best, (workers if best in ("mp-parallel", "pipelined") else 1)
+        return best, (workers if best == "mp-parallel" else 1)
 
     def instances(self) -> Iterator[InputParams]:
         """All (dim, tsize, dsize) instances of the space."""

@@ -785,9 +785,9 @@ def _bench_tunables(executor: str, dim: int, max_gpus: int) -> TunableParams | N
         return TunableParams()
     if executor == "cpu-parallel":
         return TunableParams(cpu_tile=8)
-    if executor in ("mp-parallel", "pipelined"):
+    if executor == "mp-parallel":
         # Coarse tiles amortise the per-tile pool dispatch while still
-        # exposing enough tile-parallelism across a wave (barriered or not).
+        # exposing enough tile-parallelism across the wavefront.
         return TunableParams(cpu_tile=max(32, dim // 8))
     if executor == "compiled":
         return TunableParams()
@@ -856,10 +856,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     # The paper's tiled serial CPU phases (the historical
                     # bench configuration), not the session's default engine.
                     policy_kwargs["engine"] = "serial"
-                if (
-                    executor_name in ("mp-parallel", "pipelined")
-                    and args.workers is not None
-                ):
+                if executor_name == "mp-parallel" and args.workers is not None:
                     policy_kwargs["workers"] = args.workers
                 plan = session.plan(
                     app_name, args.dim, policy=ExecutionPolicy(**policy_kwargs)

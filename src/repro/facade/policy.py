@@ -1,9 +1,9 @@
 """Typed execution policy: every plan override in one declarative object.
 
 Planning overrides grew by accretion — ``backend=`` here, ``engine=`` and
-``workers=`` there, ``dispatch`` nowhere at all — so
-:class:`ExecutionPolicy` folds them into one frozen, validated value that
-:meth:`repro.session.Session.plan` accepts as ``policy=``.  The legacy
+``workers=`` there — so :class:`ExecutionPolicy` folds them into one
+frozen, validated value that :meth:`repro.session.Session.plan` accepts as
+``policy=``.  The legacy
 keyword arguments keep working (they coerce into a policy and emit a
 :class:`DeprecationWarning`), and a policy-built plan serialises exactly
 like a kwargs-built one, so persisted plans are unaffected.
@@ -16,35 +16,22 @@ from dataclasses import dataclass
 from repro.core.exceptions import InvalidParameterError
 from repro.core.params import TunableParams
 
-#: Tile dispatch orders a policy may request.
-DISPATCH_MODES: tuple[str, ...] = ("barrier", "pipelined")
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How a plan should execute: backend, engine, workers, dispatch, tunables.
+    """How a plan should execute: backend, engine, workers, tunables.
 
     Every field is optional; ``None`` means "let the tuner decide".  Setting
     ``backend`` (or ``tunables``) makes the resulting plan *manual*, exactly
-    as the legacy ``backend=`` keyword did.  ``dispatch`` selects the tile
-    dispatch order of the multicore backends (``"barrier"`` or
-    ``"pipelined"``); it is carried into the plan and honoured by the
-    engine host when the plan runs.
+    as the legacy ``backend=`` keyword did.
     """
 
     backend: str | None = None
     engine: str | None = None
     workers: int | None = None
-    dispatch: str | None = None
     tunables: TunableParams | None = None
 
     def __post_init__(self) -> None:
-        """Validate the dispatch vocabulary and the worker count."""
-        if self.dispatch is not None and self.dispatch not in DISPATCH_MODES:
-            raise InvalidParameterError(
-                f"unknown dispatch mode {self.dispatch!r}; expected one of: "
-                f"{', '.join(DISPATCH_MODES)}"
-            )
+        """Validate the worker count."""
         if self.workers is not None and int(self.workers) < 1:
             raise InvalidParameterError(
                 f"workers must be >= 1, got {self.workers}"
@@ -57,7 +44,6 @@ class ExecutionPolicy:
             self.backend is None
             and self.engine is None
             and self.workers is None
-            and self.dispatch is None
             and self.tunables is None
         )
 
@@ -67,7 +53,6 @@ class ExecutionPolicy:
             "backend": self.backend,
             "engine": self.engine,
             "workers": self.workers,
-            "dispatch": self.dispatch,
             "tunables": self.tunables,
         }
         return {name: value for name, value in fields.items() if value is not None}

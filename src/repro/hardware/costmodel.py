@@ -87,7 +87,7 @@ class CostConstants:
     #: includes them.
     compiled_speedup: float = 12.0
     #: Per-tile dispatch cost of the shared-memory process pool (submitting
-    #: the tile descriptor, collecting the result, barrier bookkeeping).
+    #: the tile descriptor, collecting the result, dependency bookkeeping).
     mp_task_overhead_us: float = 60.0
     #: One-off cost of starting (forking + initialising) one pool worker,
     #: including its per-worker engine precompute.
@@ -261,56 +261,17 @@ class CostModel:
     # ------------------------------------------------------------------
     # The shared-memory multicore backend (``mp-parallel``)
     # ------------------------------------------------------------------
-    def mp_parallel_efficiency(self, params: InputParams, cpu_tile: int, workers: int) -> float:
-        """Load-balance efficiency of the tile wavefront on ``workers`` cores.
-
-        The ratio of ideal to critical-path tile rounds
-        (:meth:`repro.core.tiling.TileDecomposition.parallel_efficiency`):
-        1.0 means every wave keeps all workers busy; small grids or large
-        tiles expose fewer independent tiles than workers on the early/late
-        tile-diagonals and push it below 1.
-        """
-        tile = max(1, min(cpu_tile, params.dim))
-        decomp = TileDecomposition(params.dim, params.dim, tile)
-        return decomp.parallel_efficiency(workers)
-
     def mp_parallel_time(self, params: InputParams, cpu_tile: int, workers: int) -> float:
         """Shared-memory multicore backend: tiled-vectorized tiles on real cores.
 
         Each tile is swept with the tile-local strided-diagonal engine (so
         per-cell work is the vectorized rate plus per-local-diagonal batch
-        overhead) and pays one pool dispatch; the critical path is the ideal
-        per-worker share divided by the wavefront's parallel-efficiency
-        term, plus the one-off worker start-up.  With fewer than two workers
-        this degrades to the single-core vectorized engine, mirroring the
-        functional backend's graceful fallback.
-        """
-        workers = max(1, int(workers))
-        if workers < 2:
-            return self.vectorized_time(params)
-        c = self.constants
-        tile = max(1, min(cpu_tile, params.dim))
-        decomp = TileDecomposition(params.dim, params.dim, tile)
-        point = self.cpu_point_time(params) / c.cpu_vector_speedup
-        tile_time = (
-            tile * tile * point
-            + (2 * tile - 1) * c.vector_diag_overhead_us * 1e-6
-            + c.mp_task_overhead_us * 1e-6
-        )
-        efficiency = max(decomp.parallel_efficiency(workers), 1e-9)
-        ideal_rounds = decomp.n_tiles / workers
-        startup = c.mp_worker_startup_s * workers
-        return startup + (ideal_rounds / efficiency) * tile_time
-
-    def pipelined_time(self, params: InputParams, cpu_tile: int, workers: int) -> float:
-        """Dependency-driven multicore backend: no barrier between tile waves.
-
-        Same per-tile cost as :meth:`mp_parallel_time`, but the per-wave
-        straggler term (the division by the wavefront's parallel-efficiency)
-        disappears: with tiles released the moment their neighbours retire,
-        the run is bound by whichever is longer of the perfectly-balanced
-        work share and the tile-diagonal dependency chain — never by partial
-        waves idling workers at a barrier.
+        overhead) and pays one pool dispatch.  Tiles are released the moment
+        their neighbours retire, so the run is bound by whichever is longer
+        of the perfectly-balanced work share and the tile-diagonal
+        dependency chain, plus the one-off worker start-up.  With fewer
+        than two workers this degrades to the single-core vectorized
+        engine, mirroring the functional backend's graceful fallback.
         """
         workers = max(1, int(workers))
         if workers < 2:
@@ -340,9 +301,6 @@ class CostModel:
         if backend == "mp-parallel":
             effective = workers if workers is not None else self.system.cpu.workers
             return self.mp_parallel_time(params, cpu_tile, effective)
-        if backend == "pipelined":
-            effective = workers if workers is not None else self.system.cpu.workers
-            return self.pipelined_time(params, cpu_tile, effective)
         if backend == "cpu-parallel":
             return self.cpu_parallel_time(params, cpu_tile)
         return self.engine_time(backend, params)

@@ -38,11 +38,10 @@ from repro.runtime.compiled import CompiledExecutor, compiled_fill_for, numba_av
 from repro.runtime.mp_parallel import (
     MPParallelExecutor,
     MPWavefrontPool,
-    PipelinedMPExecutor,
     TileSweeper,
     resolve_worker_count,
 )
-from repro.runtime.scheduler import DependencyGraph, PipelinedSchedule, run_pipelined
+from repro.runtime.scheduler import DependencyGraph
 from repro.runtime.shared_grid import SharedGridBuffer
 from repro.runtime.gpu_single import SingleGPUBandExecutor
 from repro.runtime.gpu_multi import MultiGPUBandExecutor
@@ -76,11 +75,8 @@ __all__ = [
     "numba_available",
     "MPParallelExecutor",
     "MPWavefrontPool",
-    "PipelinedMPExecutor",
     "TileSweeper",
     "DependencyGraph",
-    "PipelinedSchedule",
-    "run_pipelined",
     "SharedGridBuffer",
     "resolve_worker_count",
     "SingleGPUBandExecutor",

@@ -88,7 +88,6 @@ class EngineHost:
         backend: str,
         engine: str | None = None,
         workers: int = 1,
-        dispatch: str = "barrier",
     ) -> Executor:
         """The cached executor behind one resolved backend decision.
 
@@ -97,30 +96,27 @@ class EngineHost:
         executor an unspecified engine defaults to the preferred serial
         engine of this environment (vectorized when NumPy is available).
         The multicore executors are wired back to :meth:`pool_for`, so
-        their worker pools persist across calls.  ``dispatch`` selects the
-        tile dispatch order of the multicore backends: ``"pipelined"``
-        upgrades an mp-parallel request to the dependency-driven executor;
-        backends without tile pools ignore it.
+        their worker pools persist across calls.
         """
         self._check_open()
         strategy, alias_engine = split_backend(backend)
         engine = engine if engine is not None else alias_engine
         workers = max(1, int(workers))
-        key = (strategy, engine, workers, dispatch)
+        key = (strategy, engine, workers)
         with self._lock:
             cached = self._executors.get(key)
             if cached is not None:
                 return cached
-            executor = self._build_executor(strategy, engine, workers, dispatch)
+            executor = self._build_executor(strategy, engine, workers)
             self.stats["executors_built"] += 1
             return self._executors.put(key, executor)
 
     def _build_executor(
-        self, strategy: str, engine: str | None, workers: int, dispatch: str
+        self, strategy: str, engine: str | None, workers: int
     ) -> Executor:
-        """Construct the executor for one (strategy, engine, workers, dispatch) key."""
+        """Construct the executor for one (strategy, engine, workers) key."""
         from repro.runtime.hybrid import HybridExecutor
-        from repro.runtime.mp_parallel import MPParallelExecutor, PipelinedMPExecutor
+        from repro.runtime.mp_parallel import MPParallelExecutor
         from repro.runtime.registry import available_serial_engines, get_executor
 
         if strategy == "hybrid":
@@ -131,12 +127,6 @@ class EngineHost:
                 cpu_engine=cpu_engine,
                 workers=workers,
                 pool_source=self.pool_for,
-            )
-        if strategy == PipelinedMPExecutor.strategy or (
-            strategy == MPParallelExecutor.strategy and dispatch == "pipelined"
-        ):
-            return PipelinedMPExecutor(
-                self.system, self.constants, workers=workers, pool_source=self.pool_for
             )
         if strategy == MPParallelExecutor.strategy:
             return MPParallelExecutor(

@@ -9,9 +9,11 @@ count.  This module is the real thing:
   (a :mod:`multiprocessing.shared_memory` segment wrapped as a zero-copy
   NumPy view), so workers read neighbours and write results in place — only
   tiny tile descriptors cross process boundaries;
-* a **persistent worker-process pool** executes the tile wavefront with the
-  schedule of :class:`repro.runtime.scheduler.TileScheduler`: a barrier per
-  tile-diagonal, the tiles within a diagonal fanned across the workers;
+* a **persistent worker-process pool** executes the tile wavefront by
+  draining a :class:`repro.runtime.scheduler.DependencyGraph`: a tile is
+  submitted the moment its west, north and north-west neighbours retire, so
+  no barrier ever separates the tile-diagonals and a straggler only delays
+  its own successors;
 * each worker evaluates its tile's interior with a **tile-local
   strided-diagonal sweep** (:class:`TileSweeper`) that reuses the fused
   kernel evaluators of the vectorized engine
@@ -35,11 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from repro.core.exceptions import (
-    ExecutionError,
-    InvalidParameterError,
-    WorkerCrashError,
-)
+from repro.core.exceptions import ExecutionError, WorkerCrashError
 from repro.core.grid import WavefrontGrid
 from repro.core.params import TunableParams
 from repro.core.pattern import WavefrontProblem
@@ -47,12 +45,7 @@ from repro.core.tiling import Tile, TileDecomposition
 from repro.hardware.costmodel import PhaseBreakdown
 from repro.hardware.system import SystemSpec
 from repro.runtime.executor_base import Executor
-from repro.runtime.scheduler import (
-    PipelinedSchedule,
-    TileScheduler,
-    run_pipelined,
-    run_schedule,
-)
+from repro.runtime.scheduler import DependencyGraph, run_pipelined
 from repro.runtime.shared_grid import SharedGridBuffer
 from repro.runtime.vectorized import TileSweeper, engine_for
 
@@ -163,8 +156,6 @@ class MPWavefrontPool:
         self.decomposition = TileDecomposition(dim, dim, tile)
         self.tile = int(tile)
         self.workers = max(1, int(workers))
-        self.scheduler = TileScheduler(self.decomposition, workers=self.workers)
-        self.pipeline = PipelinedSchedule(self.decomposition)
         self._pool: ProcessPoolExecutor | None = None
         self._buffer: SharedGridBuffer | None = None
         self._orig_values: np.ndarray | None = None
@@ -252,35 +243,25 @@ class MPWavefrontPool:
             self._orig_values = None
         self.grid = None
 
-    def run_range(
-        self, d_lo: int, d_hi: int, dispatch: str = "barrier"
-    ) -> tuple[int, int]:
+    def run_range(self, d_lo: int, d_hi: int) -> tuple[int, int]:
         """Execute the tile wavefront over cell diagonals ``[d_lo, d_hi]``.
 
-        Returns ``(tiles_executed, cells_computed)``.  ``dispatch`` selects
-        how tiles reach the workers: ``"barrier"`` fans each tile-diagonal
-        across the pool and barriers between diagonals
-        (:func:`~repro.runtime.scheduler.run_schedule`); ``"pipelined"``
-        drains a :class:`~repro.runtime.scheduler.DependencyGraph` instead,
-        starting any tile the moment its west/north/north-west neighbours
-        retire (:func:`~repro.runtime.scheduler.run_pipelined`).  Both
-        orders respect the exact dependency contract of
+        Returns ``(tiles_executed, cells_computed)``.  The tiles touching
+        the range are drained from a range-clipped
+        :class:`~repro.runtime.scheduler.DependencyGraph`
+        (:func:`~repro.runtime.scheduler.run_pipelined`): any tile starts
+        the moment its west/north/north-west neighbours retire, which is
+        exactly the dependency contract of
         :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile`, so the
-        resulting grids are bit-identical.
+        grid is bit-identical to the serial sweep.
         """
-        if dispatch not in ("barrier", "pipelined"):
-            raise InvalidParameterError(
-                f"unknown dispatch mode {dispatch!r}; expected 'barrier' or "
-                "'pipelined'"
-            )
         if d_hi < d_lo:
             return 0, 0
         if self.grid is None:
             raise ExecutionError("MPWavefrontPool.run_range called with no grid bound")
         if self._pool is None or self._orig_values is None:
             # Single-core (or dtype-fallback) path: whole-diagonal batches,
-            # no tile penalty.  Dispatch order is moot with one in-process
-            # worker, so both modes share this sweep.
+            # no tile penalty.
             return 0, engine_for(self.problem).sweep(self.grid, d_lo, d_hi)
         cells = 0
 
@@ -289,20 +270,12 @@ class MPWavefrontPool:
             cells += int(n)  # type: ignore[arg-type]
 
         try:
-            if dispatch == "pipelined":
-                executed = run_pipelined(
-                    self.pipeline.graph(d_lo, d_hi),
-                    _TileTask(d_lo, d_hi),
-                    pool=self._pool,
-                    collect=collect,
-                )
-            else:
-                executed = run_schedule(
-                    self.scheduler.waves(d_lo, d_hi),
-                    _TileTask(d_lo, d_hi),
-                    pool=self._pool,
-                    collect=collect,
-                )
+            executed = run_pipelined(
+                DependencyGraph(self.decomposition, d_lo, d_hi),
+                _TileTask(d_lo, d_hi),
+                pool=self._pool,
+                collect=collect,
+            )
         except BrokenProcessPool as crash:
             # A worker died (killed, OOM, segfault).  Mark the pool broken —
             # it can never run again — and surface a typed error so the
@@ -338,16 +311,15 @@ class MPParallelExecutor(Executor):
     """Shared-memory multicore execution of the whole grid (scheme (b), real).
 
     The grid lives in shared memory, a persistent process pool executes the
-    tile wavefront (barrier per tile-diagonal), and every worker sweeps its
-    tiles with the tile-local strided-diagonal engine — combining the
-    vectorized engine's batched evaluation with parallelism that actually
-    scales with cores, unlike the GIL-bound ``cpu-parallel`` strategy.
+    tile wavefront in dependency order (no barrier between tile-diagonals),
+    and every worker sweeps its tiles with the tile-local strided-diagonal
+    engine — combining the vectorized engine's batched evaluation with
+    parallelism that actually scales with cores, unlike the GIL-bound
+    ``cpu-parallel`` strategy.
     Produces grids cell-for-cell identical to the serial reference.
     """
 
     strategy = "mp-parallel"
-    #: Tile dispatch order handed to :meth:`MPWavefrontPool.run_range`.
-    dispatch = "barrier"
 
     def __init__(
         self,
@@ -385,18 +357,14 @@ class MPParallelExecutor(Executor):
             pool = self.pool_source(problem, tunables.cpu_tile, workers)
             pool.bind(grid)
             try:
-                executed, cells = pool.run_range(
-                    0, 2 * problem.dim - 2, dispatch=self.dispatch
-                )
+                executed, cells = pool.run_range(0, 2 * problem.dim - 2)
                 stats = self._pool_stats(pool, executed, cells)
                 stats["pool"] = "borrowed"
             finally:
                 pool.release()
             return grid, stats
         with MPWavefrontPool(problem, grid, tunables.cpu_tile, workers) as pool:
-            executed, cells = pool.run_range(
-                0, 2 * problem.dim - 2, dispatch=self.dispatch
-            )
+            executed, cells = pool.run_range(0, 2 * problem.dim - 2)
             stats = self._pool_stats(pool, executed, cells)
         return grid, stats
 
@@ -410,9 +378,8 @@ class MPParallelExecutor(Executor):
         return {
             "tiles_executed": executed,
             "cells_computed": cells,
-            "tile_waves": pool.scheduler.n_waves,
+            "tile_waves": pool.decomposition.n_tile_diagonals,
             "workers": pool.workers,
-            "dispatch": self.dispatch,
             "mode": "process-pool" if pool.bound_multiprocess else "in-process",
         }
 
@@ -420,28 +387,3 @@ class MPParallelExecutor(Executor):
         # A pure-CPU strategy: keep the cpu_tile choice, drop GPU settings.
         tunables = tunables.clipped(problem.dim)
         return TunableParams(cpu_tile=tunables.cpu_tile)
-
-
-class PipelinedMPExecutor(MPParallelExecutor):
-    """Dependency-driven multicore execution: no barrier between tile waves.
-
-    Identical to :class:`MPParallelExecutor` in every observable output —
-    same shared grid, same per-worker tile sweeps, bit-identical grids and
-    witnesses — but tiles are dispatched through the
-    :class:`~repro.runtime.scheduler.DependencyGraph` of the pool instead of
-    barrier-separated waves, so a tile of wave ``d + 1`` starts the moment
-    its three neighbour tiles retire even while wave ``d`` stragglers are
-    still running.  The cost model drops the per-wave straggler term
-    accordingly (:meth:`repro.hardware.costmodel.CostModel.pipelined_time`).
-    """
-
-    strategy = "pipelined"
-    dispatch = "pipelined"
-
-    def _breakdown(self, problem: WavefrontProblem, tunables: TunableParams) -> PhaseBreakdown:
-        params = problem.input_params()
-        return PhaseBreakdown(
-            pre_s=self.cost_model.pipelined_time(
-                params, tunables.cpu_tile, self._resolved_workers()
-            )
-        )

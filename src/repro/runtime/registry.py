@@ -5,7 +5,7 @@ registered under its ``strategy`` name so the CLI, the benchmark driver and
 the autotuner can enumerate and construct backends uniformly.
 
 Registration is declarative: an :class:`EngineSpec` names the executor
-class, the *capabilities* it offers (``pipelined``, ``compiled``,
+class, the *capabilities* it offers (``multicore``, ``compiled``,
 ``requires_shm``, ``subrange_safe``, ...) and an optional availability
 probe — the gate that keeps the vectorized engine out of NumPy-less
 environments and the compiled tier silent wherever :mod:`numba` is not
@@ -36,7 +36,7 @@ from repro.runtime.executor_base import Executor
 from repro.runtime.gpu_multi import MultiGPUBandExecutor
 from repro.runtime.gpu_single import SingleGPUBandExecutor
 from repro.runtime.hybrid import HybridExecutor
-from repro.runtime.mp_parallel import MPParallelExecutor, PipelinedMPExecutor
+from repro.runtime.mp_parallel import MPParallelExecutor
 from repro.runtime.serial import SerialExecutor
 from repro.runtime.vectorized import VectorizedSerialExecutor, numpy_available
 
@@ -46,7 +46,6 @@ KNOWN_CAPABILITIES: frozenset[str] = frozenset(
         "serial",  # single-core whole-grid engine (hybrid CPU-phase candidate)
         "multicore",  # scales with worker count
         "gpu",  # drives (simulated) GPU devices
-        "pipelined",  # dependency-driven tile dispatch, no wave barrier
         "compiled",  # JIT-compiled kernel tier
         "requires_shm",  # needs POSIX shared memory for its grid
         "subrange_safe",  # can sweep partial diagonal ranges in place
@@ -230,13 +229,6 @@ for _spec in (
         name=MPParallelExecutor.strategy,
         factory=MPParallelExecutor,
         capabilities=frozenset({"multicore", "requires_shm", "subrange_safe"}),
-    ),
-    EngineSpec(
-        name=PipelinedMPExecutor.strategy,
-        factory=PipelinedMPExecutor,
-        capabilities=frozenset(
-            {"multicore", "requires_shm", "subrange_safe", "pipelined"}
-        ),
     ),
     EngineSpec(
         name=CompiledExecutor.strategy,

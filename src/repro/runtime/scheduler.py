@@ -1,21 +1,18 @@
 """Scheduling of CPU tiles across workers.
 
-The tiled CPU phases execute the tile wavefront: within one tile-diagonal all
-tiles are independent and are distributed over the worker pool; tile-diagonals
-are separated by a barrier.  :class:`TileScheduler` produces that schedule as
-data so both the functional executors and the tests can inspect it, and
-:func:`run_schedule` executes it sequentially, on a thread pool, or on any
-persistent :class:`concurrent.futures.Executor` — the multicore backend
-(:mod:`repro.runtime.mp_parallel`) passes its worker-process pool so each
-wave fans its tiles across real cores with a barrier per tile-diagonal.
+The tiled CPU phases execute the tile wavefront.  Two schedules live here:
 
-The barrier is not required for correctness — a tile only reads its west,
-north and north-west neighbour tiles — so the module also provides the
-*pipelined* alternative: :class:`DependencyGraph` tracks per-tile
-remaining-predecessor counts, :class:`PipelinedSchedule` builds range-clipped
-graphs the way :meth:`TileScheduler.waves` builds clipped wave lists, and
-:func:`run_pipelined` drains the graph, starting a tile the moment its three
-neighbours retire, so tiles of wave ``d + 1`` overlap wave ``d`` stragglers.
+* :class:`TileScheduler` lists the wavefront as barrier-separated waves
+  (one per tile-diagonal, tiles round-robined over the workers) and
+  :func:`run_schedule` executes it sequentially or on a transient thread
+  pool — the GIL-bound ``cpu-parallel`` strategy that models the paper's
+  scheme (b);
+* :class:`DependencyGraph` tracks per-tile remaining-predecessor counts and
+  :func:`run_pipelined` drains it, starting a tile the moment its west,
+  north and north-west neighbours retire, so tiles of wave ``d + 1``
+  overlap wave ``d`` stragglers.  The multicore backend
+  (:mod:`repro.runtime.mp_parallel`) drains such a graph on its persistent
+  worker-process pool — no barrier ever forms.
 """
 
 from __future__ import annotations
@@ -103,43 +100,20 @@ def run_schedule(
     tile_fn: Callable[[Tile], object],
     use_threads: bool = False,
     max_workers: int | None = None,
-    pool: FuturesExecutor | None = None,
-    collect: Callable[[object], None] | None = None,
 ) -> int:
-    """Execute a tile schedule; returns the number of tiles executed.
+    """Execute a tile schedule wave by wave; returns the number of tiles executed.
 
-    Three execution paths share the same wave-barrier structure:
-
-    * ``pool`` — submit every wave's tiles to an existing
-      :class:`concurrent.futures.Executor` and barrier on the futures.  This
-      is how the multicore backend drives its persistent process pool;
-      ``tile_fn`` (and each :class:`~repro.core.tiling.Tile`) must then be
-      picklable.
-    * ``use_threads`` — same, on a transient thread pool (GIL-bound; kept
-      for kernels that release the GIL).
-    * default — sequential in schedule order, which is fastest for the small
-      grids used in tests because the kernels are NumPy-bound.
-
-    ``collect`` receives each tile's return value (e.g. its cell count) in
-    completion order within a wave.
+    By default tiles run sequentially in schedule order, which is fastest
+    for the small grids used in tests because the kernels are NumPy-bound.
+    ``use_threads`` fans each wave across a transient thread pool and
+    barriers on its futures (GIL-bound; kept for kernels that release the
+    GIL).
     """
     executed = 0
-    if pool is not None:
-        for wave in waves:
-            futures = [pool.submit(tile_fn, item.tile) for item in wave]
-            for future in futures:
-                result = future.result()
-                if collect is not None:
-                    collect(result)
-            executed += len(futures)
-        return executed
-
     if not use_threads:
         for wave in waves:
             for item in wave:
-                result = tile_fn(item.tile)
-                if collect is not None:
-                    collect(result)
+                tile_fn(item.tile)
                 executed += 1
         return executed
 
@@ -147,9 +121,7 @@ def run_schedule(
         for wave in waves:
             futures = [thread_pool.submit(tile_fn, item.tile) for item in wave]
             for future in futures:
-                result = future.result()
-                if collect is not None:
-                    collect(result)
+                future.result()
             executed += len(futures)
     return executed
 
@@ -162,7 +134,7 @@ class DependencyGraph:
     north and north-west neighbour tiles — exactly the cells
     :meth:`~repro.runtime.vectorized.TileSweeper.sweep_tile` reads, which is
     why executing tiles in any retirement-respecting order reproduces the
-    barriered sweep bit for bit.  Predecessors that fall outside the clipped
+    serial sweep bit for bit.  Predecessors that fall outside the clipped
     range contain no cells in ``[d_lo, d_hi]``; their cells precede ``d_lo``
     and are final by the range-sweep precondition, so they are not counted.
 
@@ -195,7 +167,7 @@ class DependencyGraph:
         self._acquired: set[tuple[int, int]] = set()
         self._retired: set[tuple[int, int]] = set()
         # Wave order (tile-diagonal, then tile-row) seeds the ready queue so
-        # the sequential drain matches the barriered visit order.
+        # the sequential drain visits tiles in wavefront order.
         for key in sorted(self._tiles, key=lambda k: (k[0] + k[1], k[0])):
             tr, tc = key
             preds = [
@@ -249,28 +221,6 @@ class DependencyGraph:
                 self._ready.append(succ)
                 released.append(self._tiles[succ])
         return released
-
-
-class PipelinedSchedule:
-    """Range-clipped :class:`DependencyGraph` factory for one decomposition.
-
-    The dependency-counted counterpart of :class:`TileScheduler`: where the
-    scheduler emits barrier-separated waves, this hands out fresh graphs for
-    each swept cell-diagonal range and exposes the same aggregate shape
-    numbers the cost model reasons about.
-    """
-
-    def __init__(self, decomposition: TileDecomposition) -> None:
-        self.decomposition = decomposition
-
-    def graph(self, d_lo: int | None = None, d_hi: int | None = None) -> DependencyGraph:
-        """A fresh dependency graph clipped to ``[d_lo, d_hi]``."""
-        return DependencyGraph(self.decomposition, d_lo, d_hi)
-
-    @property
-    def critical_path(self) -> int:
-        """Length of the longest dependency chain (the tile-diagonal count)."""
-        return self.decomposition.n_tile_diagonals
 
 
 def run_pipelined(

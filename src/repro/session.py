@@ -69,6 +69,8 @@ from repro.utils.lru import LRUCache
 
 #: Default bound of the session's plan and problem caches.
 DEFAULT_CACHE_SIZE = 128
+#: The bare override keywords, in :meth:`Session._coerce_policy` order.
+_OVERRIDE_KEYS = ("backend", "engine", "workers", "tunables")
 
 
 class Session:
@@ -220,7 +222,7 @@ class Session:
         """
         with self._plan_lock:
             self._check_open()
-            query = (plan.app, plan.dim, plan.app_kwargs, None, None, None, None, None)
+            query = (plan.app, plan.dim, plan.app_kwargs, None, None, None, None)
             self.stats["plans_adopted"] += 1
             return self._plans.put(query, plan)
 
@@ -278,7 +280,16 @@ class Session:
         :meth:`run` executes exactly what was handed in.
         """
         self._check_open()
-        policy = self._coerce_policy(policy, backend, engine, workers, tunables)
+        coerced = self._coerce_policy(policy, backend, engine, workers, tunables)
+        if policy is None and not coerced.is_default:
+            warnings.warn(
+                "the backend=/engine=/workers=/tunables= keywords of "
+                "Session.plan()/solve() are deprecated; pass "
+                "policy=ExecutionPolicy(...) instead",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        policy = coerced
         with self._plan_lock:
             if isinstance(app, WavefrontProblem):
                 if app_kwargs:
@@ -307,7 +318,6 @@ class Session:
                 policy.engine,
                 policy.workers,
                 policy.tunables,
-                policy.dispatch,
             )
             cached = self._plans.get(query)
             if cached is not None:
@@ -336,18 +346,9 @@ class Session:
                     "backend=/engine=/workers=/tunables= keywords, not both"
                 )
             return policy
-        if legacy:
-            warnings.warn(
-                "the backend=/engine=/workers=/tunables= keywords of "
-                "Session.plan()/solve() are deprecated; pass "
-                "policy=ExecutionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return ExecutionPolicy(
-                backend=backend, engine=engine, workers=workers, tunables=tunables
-            )
-        return ExecutionPolicy()
+        return ExecutionPolicy(
+            backend=backend, engine=engine, workers=workers, tunables=tunables
+        )
 
     @staticmethod
     def _ctor_kwargs(dim, app_kwargs: dict) -> dict:
@@ -409,7 +410,6 @@ class Session:
             backend=decision.backend,
             engine=decision.engine,
             workers=max(1, int(resolved_workers)),
-            dispatch=policy.dispatch if policy.dispatch is not None else "barrier",
             system=self.system.name,
             tuner=source,
             expected_s=decision.expected_s,
@@ -447,9 +447,7 @@ class Session:
         strategy, engine = plan.split()
         with self._run_lock:
             self._check_open()
-            executor = self.host.executor_for(
-                strategy, engine, plan.workers, dispatch=plan.dispatch
-            )
+            executor = self.host.executor_for(strategy, engine, plan.workers)
             self.stats["runs"] += 1
             started = time.perf_counter()
             result = executor.execute(problem, plan.tunables, mode=mode)
@@ -487,7 +485,7 @@ class Session:
         problem requests carry caller-owned state the codec cannot see, and
         simulate-mode answers have no bit-exact payload worth addressing.
         Plan-relevant overrides (``backend``/``engine``/``workers``/
-        ``tunables``, plus a non-default ``dispatch``) enter the key —
+        ``tunables``) enter the key —
         whether spelled as a ``policy=`` or as the legacy keywords, the same
         overrides produce the same key, so persisted caches survive the
         migration.  Un-canonicalisable values make the request silently
@@ -501,14 +499,10 @@ class Session:
         policy = plan_kwargs.get("policy")
         if isinstance(policy, ExecutionPolicy):
             overrides = policy.overrides()
-            # Default dispatch is key-invisible so pre-existing cache
-            # entries keep matching.
-            if overrides.get("dispatch") == "barrier":
-                del overrides["dispatch"]
         else:
             overrides = {
                 name: plan_kwargs[name]
-                for name in ("backend", "engine", "workers", "tunables")
+                for name in _OVERRIDE_KEYS
                 if plan_kwargs.get(name) is not None
             }
         if self.workers is not None:
@@ -537,7 +531,11 @@ class Session:
 
         Each request is a registered application name, an
         ``(app, dim)`` pair, a mapping of :meth:`plan` keyword arguments,
-        or a ready :class:`~repro.facade.plan.ResolvedPlan`.  Repeated
+        or a ready :class:`~repro.facade.plan.ResolvedPlan`.  A mapping's
+        bare ``backend``/``engine``/``workers``/``tunables`` keys (the
+        ``POST /solve`` body format) are lifted into an
+        :class:`~repro.facade.policy.ExecutionPolicy`, so they plan and
+        cache exactly like the ``policy=`` spelling and emit no warning.  Repeated
         requests hit the tuned-plan cache (one tuner resolution for the
         whole stream) and the multicore backends keep their worker pools
         warm across the batch — the serving behaviour the per-call helpers
@@ -559,7 +557,13 @@ class Session:
             if isinstance(request, ResolvedPlan):
                 results.append(self.run(request, mode=mode))
             elif isinstance(request, Mapping):
-                results.append(self.solve(mode=mode, **request))
+                kwargs = dict(request)
+                overrides = [kwargs.pop(name, None) for name in _OVERRIDE_KEYS]
+                if any(value is not None for value in overrides):
+                    kwargs["policy"] = self._coerce_policy(
+                        kwargs.get("policy"), *overrides
+                    )
+                results.append(self.solve(mode=mode, **kwargs))
             elif isinstance(request, (tuple, list)):
                 app, dim = request
                 results.append(self.solve(app, dim, mode=mode))

@@ -22,7 +22,7 @@ from repro.autotuner.measured import (
     save_profile,
 )
 from repro.autotuner.persistence import load_tuner, save_tuner
-from repro.core.exceptions import SearchError
+from repro.core.exceptions import SearchError, UnknownExecutorError
 from repro.core.params import InputParams, TunableParams
 from repro.hardware.calibration import constants_from_measurements
 from repro.hardware.system import detect_local_system
@@ -119,6 +119,14 @@ class TestProfilePersistence:
         payload["format_version"] = PROFILE_FORMAT_VERSION + 1
         save_json(payload, path)
         with pytest.raises(SearchError, match="format version"):
+            load_profile(path)
+
+    def test_retired_pipelined_backend_is_a_typed_error(self, tiny_profile, tmp_path):
+        path = save_profile(tiny_profile, tmp_path / "profile.json")
+        payload = load_json(path)
+        payload["records"][0]["backend"] = "pipelined"
+        save_json(payload, path)
+        with pytest.raises(UnknownExecutorError, match="pipelined"):
             load_profile(path)
 
     def test_not_a_profile_raises(self, tmp_path):

@@ -215,13 +215,19 @@ class TestRegistryAndCostModel:
         params = InputParams(dim=512, tsize=100, dsize=1)
         assert model.mp_parallel_time(params, 8, 1) == model.vectorized_time(params)
 
-    def test_parallel_efficiency_term_bounded(self, i7_2600k):
+    def test_dependency_chain_caps_worker_scaling(self, i7_2600k):
+        # A 2x2 tile grid has a 3-step tile-diagonal chain: past two
+        # workers, extra workers only add start-up cost.
         model = MPParallelExecutor(i7_2600k).cost_model
         params = InputParams(dim=256, tsize=100, dsize=1)
-        eff = model.mp_parallel_efficiency(params, 32, 4)
-        assert 0.0 < eff <= 1.0
-        # A huge tile exposes almost no tile-parallelism.
-        assert model.mp_parallel_efficiency(params, 256, 4) <= eff
+        startup = model.constants.mp_worker_startup_s
+
+        def compute(tile, workers):
+            return model.mp_parallel_time(params, tile, workers) - workers * startup
+
+        assert compute(128, 8) == pytest.approx(compute(128, 4))
+        # An 8x8 tile grid (15-step chain, 64 tiles) still scales to 4 workers.
+        assert compute(32, 4) < compute(32, 2)
 
 
 class TestSearchSpaceDimensions:
@@ -245,11 +251,9 @@ class TestSearchSpaceDimensions:
     def test_best_cpu_backend_is_multicore_for_large_coarse_instances(self, tiny_space, i7_2600k):
         from repro.autotuner.search_space import SearchSpace
 
-        # Pipelined dispatch drops the per-wave straggler wait, so its cost
-        # estimate dominates barriered mp-parallel whenever multicore wins.
         space = SearchSpace(tiny_space, i7_2600k)
         backend, workers = space.best_cpu_backend(InputParams(dim=1900, tsize=750, dsize=1))
-        assert backend == "pipelined"
+        assert backend == "mp-parallel"
         assert workers > 1
 
     def test_best_cpu_backend_co_optimises_the_tile(self, tiny_space, i7_2600k):
@@ -259,7 +263,7 @@ class TestSearchSpaceDimensions:
         # tiles: a hardwired cache-sized tile (8) would mis-select vectorized.
         space = SearchSpace(tiny_space, i7_2600k)
         params = InputParams(dim=2700, tsize=100, dsize=1)
-        assert space.best_cpu_backend(params)[0] in ("mp-parallel", "pipelined")
+        assert space.best_cpu_backend(params)[0] == "mp-parallel"
         assert space.best_cpu_backend(params, cpu_tile=8)[0] == "vectorized"
 
     def test_best_cpu_backend_stays_single_core_for_tiny_instances(self, tiny_space, i7_2600k):
@@ -273,7 +277,7 @@ class TestSearchSpaceDimensions:
     def test_tuner_selects_cpu_backend(self, trained_tuner_i7):
         params = InputParams(dim=1900, tsize=750, dsize=1)
         backend, workers = trained_tuner_i7.select_cpu_backend(params)
-        assert backend in ("serial", "vectorized", "mp-parallel", "pipelined")
+        assert backend in ("serial", "vectorized", "mp-parallel")
         assert workers >= 1
-        if backend in ("mp-parallel", "pipelined"):
+        if backend == "mp-parallel":
             assert workers == trained_tuner_i7.select_workers(params)

@@ -1,4 +1,4 @@
-"""Tests of the dependency-driven (barrier-free) tile dispatch.
+"""Tests of the dependency-driven tile dispatch of the multicore backend.
 
 Two layers are covered:
 
@@ -7,37 +7,34 @@ Two layers are covered:
   itself: every tile retired exactly once, no successor released before its
   last predecessor retires, strict errors on protocol misuse, and no
   starvation on any decomposition or clipped range;
-* the executor surface — ``dispatch="pipelined"`` on the worker pool and
-  :class:`~repro.runtime.mp_parallel.PipelinedMPExecutor` — whose acceptance
-  property is **bit-identical grids and witnesses** to the barriered
-  reference for every registered application, worker count and band shape.
+* the executor surface — :meth:`MPWavefrontPool.run_range` and
+  :class:`~repro.runtime.mp_parallel.MPParallelExecutor` on real worker
+  processes — whose acceptance property is **bit-identical grids and
+  witnesses** to the serial reference for every registered application,
+  worker count and band shape.
 """
 
 from collections import Counter
 
-import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import available_applications, get_application
-from repro.core.exceptions import ExecutionError, InvalidParameterError
+from repro.core.exceptions import ExecutionError
 from repro.core.params import TunableParams
 from repro.core.tiling import TileDecomposition
+from repro.hardware import platforms
 from repro.runtime import (
     DependencyGraph,
     MPParallelExecutor,
     MPWavefrontPool,
-    PipelinedMPExecutor,
-    PipelinedSchedule,
     SerialExecutor,
-    run_pipelined,
 )
 from repro.runtime.compute import reference_grid
-from repro.runtime.scheduler import tile_intersects_range
-
-HAS_FORK = "fork" in mp.get_all_start_methods()
+from repro.runtime.scheduler import run_pipelined, tile_intersects_range
 
 grid_sides = st.integers(min_value=1, max_value=40)
 tiles = st.integers(min_value=1, max_value=12)
@@ -149,20 +146,30 @@ class TestClippedGraph:
         expected = {
             _key(t) for t in decomp.all_tiles() if tile_intersects_range(t, lo, hi)
         }
-        graph = PipelinedSchedule(decomp).graph(lo, hi)
+        graph = DependencyGraph(decomp, lo, hi)
         seen = Counter(_drain(graph))
         assert set(seen) == expected
         assert all(count == 1 for count in seen.values())
 
     def test_empty_range_graph_is_immediately_done(self):
-        graph = PipelinedSchedule(TileDecomposition(10, 10, 4)).graph(50, 40)
+        graph = DependencyGraph(TileDecomposition(10, 10, 4), 50, 40)
         assert graph.n_tiles == 0
         assert graph.done
         assert graph.acquire() is None
 
     def test_critical_path_is_the_tile_diagonal_count(self):
+        # Draining in rounds (everything ready runs, then retires) takes as
+        # many rounds as the longest dependency chain: the tile-diagonal
+        # count the cost model's chain bound charges.
         decomp = TileDecomposition(20, 12, 4)
-        assert PipelinedSchedule(decomp).critical_path == decomp.n_tile_diagonals
+        graph = DependencyGraph(decomp)
+        rounds = 0
+        while not graph.done:
+            ready = [graph.acquire() for _ in range(graph.ready_count())]
+            for tile in ready:
+                graph.retire(tile)
+            rounds += 1
+        assert rounds == decomp.n_tile_diagonals
 
 
 class TestRunPipelined:
@@ -187,13 +194,7 @@ class TestRunPipelined:
 
 
 class TestPoolDispatch:
-    """``dispatch="pipelined"`` on the worker pool is bit-identical."""
-
-    def test_unknown_dispatch_rejected(self, small_synthetic):
-        grid = small_synthetic.make_grid()
-        with MPWavefrontPool(small_synthetic, grid, tile=4, workers=1) as pool:
-            with pytest.raises(InvalidParameterError, match="dispatch"):
-                pool.run_range(0, 2 * small_synthetic.dim - 2, dispatch="bogus")
+    """``MPWavefrontPool.run_range`` drains the dependency graph bit-exactly."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pipelined_full_sweep_matches_reference(self, small_synthetic, workers):
@@ -201,23 +202,22 @@ class TestPoolDispatch:
         grid = small_synthetic.make_grid()
         dim = small_synthetic.dim
         with MPWavefrontPool(small_synthetic, grid, tile=5, workers=workers) as pool:
-            tiles, cells = pool.run_range(0, 2 * dim - 2, dispatch="pipelined")
+            tiles, cells = pool.run_range(0, 2 * dim - 2)
             # The in-process fallback sweeps whole diagonals (0 tiles).
             expected_tiles = pool.decomposition.n_tiles if pool.is_multiprocess else 0
         assert cells == dim * dim
         assert tiles == expected_tiles
         assert np.array_equal(reference.values, grid.values)
 
-    def test_pipelined_subrange_matches_barrier(self, small_synthetic):
+    def test_pipelined_subrange_matches_serial(self, small_synthetic):
         dim = small_synthetic.dim
         split = dim - 2
-        grid_a = small_synthetic.make_grid()
-        grid_b = small_synthetic.make_grid()
-        for grid, dispatch in ((grid_a, "barrier"), (grid_b, "pipelined")):
-            with MPWavefrontPool(small_synthetic, grid, tile=5, workers=2) as pool:
-                pool.run_range(0, split, dispatch=dispatch)
-                pool.run_range(split + 1, 2 * dim - 2, dispatch=dispatch)
-        assert np.array_equal(grid_a.values, grid_b.values)
+        grid = small_synthetic.make_grid()
+        with MPWavefrontPool(small_synthetic, grid, tile=5, workers=2) as pool:
+            assert pool.is_multiprocess
+            pool.run_range(0, split)
+            pool.run_range(split + 1, 2 * dim - 2)
+        assert np.array_equal(reference_grid(small_synthetic).values, grid.values)
 
 
 class TestPipelinedExecutor:
@@ -229,59 +229,90 @@ class TestPipelinedExecutor:
         dim = 21
         problem = get_application(app_name, dim=dim).problem(dim)
         serial = SerialExecutor(i7_2600k).execute(problem)
-        result = PipelinedMPExecutor(i7_2600k, workers=workers).execute(
+        result = MPParallelExecutor(i7_2600k, workers=workers).execute(
             problem, TunableParams(cpu_tile=6)
         )
         assert np.array_equal(serial.grid.values, result.grid.values)
         assert _witness_equal(serial.witness, result.witness)
         assert result.stats["cells_computed"] == dim * dim
-        assert result.stats["dispatch"] == "pipelined"
 
     @pytest.mark.parametrize("tile", [1, 3, 7, 64])
     def test_tile_size_does_not_change_the_grid(self, tile, small_synthetic, i7_2600k):
         serial = SerialExecutor(i7_2600k).execute(small_synthetic)
-        result = PipelinedMPExecutor(i7_2600k, workers=2).execute(
+        result = MPParallelExecutor(i7_2600k, workers=2).execute(
             small_synthetic, TunableParams(cpu_tile=tile)
         )
         assert np.array_equal(serial.grid.values, result.grid.values)
 
-    def test_matches_barriered_executor_exactly(self, small_synthetic, i7_2600k):
-        barrier = MPParallelExecutor(i7_2600k, workers=2).execute(
+    def test_matches_serial_executor_exactly(self, small_synthetic, i7_2600k):
+        serial = SerialExecutor(i7_2600k).execute(small_synthetic)
+        pooled = MPParallelExecutor(i7_2600k, workers=2).execute(
             small_synthetic, TunableParams(cpu_tile=4)
         )
-        pipelined = PipelinedMPExecutor(i7_2600k, workers=2).execute(
-            small_synthetic, TunableParams(cpu_tile=4)
-        )
-        assert np.array_equal(barrier.grid.values, pipelined.grid.values)
-        assert _witness_equal(barrier.witness, pipelined.witness)
+        assert pooled.stats["mode"] == "process-pool"
+        assert np.array_equal(serial.grid.values, pooled.grid.values)
+        assert _witness_equal(serial.witness, pooled.witness)
 
-    def test_expected_time_never_exceeds_barriered(self, i7_2600k, small_synthetic):
-        # The cost model's pipelined term drops the per-wave straggler wait,
-        # so its estimate can only improve on the barriered one.
-        tunables = TunableParams(cpu_tile=4)
-        barrier = MPParallelExecutor(i7_2600k, workers=4).execute(
-            small_synthetic, tunables, mode="simulate"
+    def test_expected_time_beats_serial_on_coarse_instances(self, i7_2600k):
+        # Large, compute-heavy grids are where the multicore backend pays:
+        # its simulated runtime must undercut the serial reference there.
+        problem = get_application("synthetic", dim=1900, tsize=750).problem(1900)
+        tunables = TunableParams(cpu_tile=64)
+        serial = SerialExecutor(i7_2600k).execute(problem, mode="simulate")
+        pooled = MPParallelExecutor(i7_2600k, workers=4).execute(
+            problem, tunables, mode="simulate"
         )
-        pipelined = PipelinedMPExecutor(i7_2600k, workers=4).execute(
-            small_synthetic, tunables, mode="simulate"
-        )
-        assert pipelined.rtime <= barrier.rtime + 1e-12
+        assert pooled.rtime < serial.rtime
+
+
+def _segment_exists(name):
+    """Whether a POSIX shared-memory segment is still linked."""
+    return os.path.exists(os.path.join("/dev/shm", name.lstrip("/")))
 
 
 @pytest.mark.parametrize("app_name", ("lcs", "viterbi", "edit-distance"))
 @given(
     dim=st.integers(min_value=2, max_value=24),
     tile=st.integers(min_value=1, max_value=9),
+    split=st.integers(min_value=0, max_value=46),
 )
 @settings(max_examples=12, deadline=None)
-def test_schedule_equivalence_battery(app_name, dim, tile):
-    """Hypothesis battery: pipelined ≡ barriered over apps and band shapes."""
-    problem = get_application(app_name, dim=dim).problem(dim)
-    from repro.hardware import platforms
+def test_schedule_equivalence_battery(app_name, dim, tile, split):
+    """Hypothesis battery: 2-worker mp-parallel ≡ serial, full and split ranges.
 
+    Both sweeps run on one real worker-process pool: the full sweep through
+    the executor (the session's borrowed-pool path), the split sweep as two
+    ``run_range`` calls clipped at a drawn diagonal, the way the hybrid
+    executor's CPU phases call it.  Grids and witnesses must match the
+    serial reference bit for bit, and the pool's segment must be unlinked
+    once it closes.
+    """
+    problem = get_application(app_name, dim=dim).problem(dim)
     system = platforms.I7_2600K
-    tunables = TunableParams(cpu_tile=tile)
-    barrier = MPParallelExecutor(system, workers=1).execute(problem, tunables)
-    pipelined = PipelinedMPExecutor(system, workers=1).execute(problem, tunables)
-    assert np.array_equal(barrier.grid.values, pipelined.grid.values)
-    assert _witness_equal(barrier.witness, pipelined.witness)
+    tunables = TunableParams(cpu_tile=tile).clipped(dim)
+    last = 2 * dim - 2
+    split = min(split, last)
+    serial = SerialExecutor(system).execute(problem)
+    with MPWavefrontPool(problem, tile=tunables.cpu_tile, workers=2) as pool:
+        assert pool.is_multiprocess
+        segment = pool._buffer.name
+        executor = MPParallelExecutor(system, workers=2, pool_source=lambda *_: pool)
+        full = executor.execute(problem, tunables)
+        assert full.stats["mode"] == "process-pool"
+        assert full.stats["tiles_executed"] == pool.decomposition.n_tiles
+
+        grid = problem.make_grid()
+        pool.bind(grid)
+        try:
+            _, head = pool.run_range(0, split)
+            _, tail = pool.run_range(split + 1, last)
+        finally:
+            pool.release()
+    assert not _segment_exists(segment)
+    assert head + tail == dim * dim
+    for values in (full.grid.values, grid.values):
+        assert np.array_equal(serial.grid.values, values)
+    assert _witness_equal(serial.witness, full.witness)
+    assert _witness_equal(
+        serial.witness, problem.kernel.reconstruct_witness(grid.values)
+    )

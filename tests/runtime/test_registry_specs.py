@@ -9,7 +9,7 @@ bare-class registration survives as a deprecated compatibility path.
 import pytest
 
 from repro.core.exceptions import InvalidParameterError, UnknownExecutorError
-from repro.runtime import EngineSpec, available_executors, engines_with
+from repro.runtime import EngineSpec, available_executors, engines_with, get_executor
 from repro.runtime.registry import (
     ENGINE_SPECS,
     EXECUTORS,
@@ -59,15 +59,16 @@ class TestBuiltinSpecs:
         if numpy_available():
             assert SERIAL_ENGINES[0] == "vectorized"
 
-    def test_pipelined_engine_registered_with_capability(self):
-        assert "pipelined" in ENGINE_SPECS
-        assert "pipelined" in ENGINE_SPECS["pipelined"].capabilities
-        assert "pipelined" in available_executors()
+    def test_retired_pipelined_name_is_unknown(self, i7_2600k):
+        assert "pipelined" not in ENGINE_SPECS
+        assert "pipelined" not in available_executors()
+        assert "pipelined" not in KNOWN_CAPABILITIES
+        with pytest.raises(UnknownExecutorError, match="pipelined"):
+            get_executor("pipelined", i7_2600k)
 
     def test_multicore_capability_query(self):
         multicore = engines_with("multicore")
         assert "mp-parallel" in multicore
-        assert "pipelined" in multicore
         assert "serial" not in multicore
 
     def test_unknown_capability_is_a_typed_error(self):
